@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..rdf.dataset import Dataset
 from ..rdf.terms import Variable
@@ -57,33 +57,22 @@ class StatisticsCatalog:
     # ------------------------------------------------------------------
     @classmethod
     def from_dataset(cls, query: BGPQuery, dataset: Dataset) -> "StatisticsCatalog":
-        """Exact statistics by scanning the dataset (small-data path).
+        """Exact statistics from the dataset's per-pattern memo.
 
-        Cardinality and per-variable distinct-binding sets are collected
-        in one pass over the match iterator: nothing is materialized and
-        each matching triple is touched exactly once, instead of once
-        per variable of the pattern.
+        :meth:`~repro.rdf.dataset.Dataset.pattern_statistics` scans the
+        graph only for pattern shapes it has not seen since its last
+        refresh; its first-occurrence-ordered counts are mapped back
+        onto this query's own variables.
         """
         entries = []
         for tp in query:
-            slots: List[Tuple[Variable, int]] = [
-                (term, position)
-                for position, term in enumerate(tp.terms())
-                if isinstance(term, Variable)
-            ]
-            values: Dict[Variable, Set[object]] = {v: set() for v, _ in slots}
-            count = 0
-            for t in dataset.graph.match(tp.subject, tp.predicate, tp.object):
-                count += 1
-                terms = t.terms()
-                for variable, position in slots:
-                    values[variable].add(terms[position])
-            bindings: Dict[Variable, float] = {
-                v: float(max(len(vals), 1)) for v, vals in values.items()
-            }
+            cardinality, counts = dataset.pattern_statistics(tp)
+            variables = dict.fromkeys(
+                term for term in tp.terms() if isinstance(term, Variable)
+            )
             entries.append(
                 PatternStatistics(
-                    cardinality=float(max(count, 1)), bindings=bindings
+                    cardinality=cardinality, bindings=dict(zip(variables, counts))
                 )
             )
         return cls(query, entries)

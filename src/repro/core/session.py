@@ -30,6 +30,7 @@ ballooning-signature path — passing session state (``plan_cache``,
 from __future__ import annotations
 
 import warnings
+import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import (
@@ -96,7 +97,8 @@ class OptimizeOptions:
     seed: int = 0
     #: cross-query plan cache owned by the session
     plan_cache: Optional[PlanCache] = None
-    #: worker processes for the intra-query parallel search
+    #: worker processes for the intra-query parallel search; applies
+    #: only to ``td-cmd``/``td-cmdp`` (TD-Auto always searches serially)
     jobs: int = 1
     #: intra-query parallel scheme when ``jobs > 1``: ``"memo-shard"``
     #: (popcount-tiered memo sharding with work stealing) or
@@ -185,13 +187,15 @@ class Optimizer:
     The session owns
 
     * **statistics** — catalogs resolved from :attr:`OptimizeOptions.dataset`
-      (or the random seed) are cached per query object, so re-optimizing
-      a query never re-scans the data;
+      (or the random seed) are cached per live query object; the dataset
+      itself memoizes per-pattern counts, so a re-parsed query whose
+      pattern shapes were seen before never re-scans the data;
     * **the plan cache** — :attr:`OptimizeOptions.plan_cache`, consulted and
       populated by every call (verification-gated when ``verify=True``);
     * **the tracer** — created once when ``trace=True``; every call adds
       an ``optimize`` root span to it (see ``docs/OBSERVABILITY.md``);
-    * **jobs** — the parallel-search policy applied to every call.
+    * **jobs** — the parallel-search policy applied to every ``td-cmd`` /
+      ``td-cmdp`` call (TD-Auto searches serially).
 
     Construction validates the algorithm eagerly, so a typo fails at
     session setup rather than mid-workload.
@@ -235,9 +239,11 @@ class Optimizer:
         self.options = base
         self.plan_cache = base.plan_cache
         self.tracer: Optional[Tracer] = Tracer() if base.trace else None
-        #: resolved statistics per query object (the strong reference to
-        #: the query keeps ``id()`` from being recycled)
-        self._statistics: Dict[int, Tuple[BGPQuery, StatisticsCatalog]] = {}
+        #: resolved statistics per live query object, keyed on ``id()``;
+        #: a weak reference drops the entry when the query is collected
+        self._statistics: Dict[
+            int, Tuple["weakref.ref[BGPQuery]", StatisticsCatalog]
+        ] = {}
         #: the adaptive-repartitioning feedback loop (``adapt=True``)
         self.advisor: Optional["RepartitioningAdvisor"] = None
         self._adaptive_cluster: Optional["AdaptiveCluster"] = None
@@ -433,20 +439,20 @@ class Optimizer:
         if explicit is not None:
             return explicit
         cached = self._statistics.get(id(query))
-        if cached is not None:
+        if cached is not None and cached[0]() is query:
             return cached[1]
         from .optimizer import resolve_statistics
 
+        dataset = self.options.dataset
+        scans = dataset.pattern_scans if dataset is not None else 0
         with obs.span("statistics.resolve") as sp:
-            catalog = resolve_statistics(
-                query, None, self.options.dataset, self.options.seed
-            )
+            catalog = resolve_statistics(query, None, dataset, self.options.seed)
             sp.set(
-                source="dataset" if self.options.dataset is not None else "random",
+                source="dataset" if dataset is not None else "random",
                 patterns=len(query),
+                scanned=dataset.pattern_scans - scans if dataset is not None else 0,
             )
-        self._statistics[id(query)] = (query, catalog)
-        return catalog
+        return self._remember_statistics(query, catalog)
 
     def prime_statistics(
         self, query: BGPQuery, catalog: StatisticsCatalog
@@ -456,8 +462,36 @@ class Optimizer:
         Used when per-query catalogs exist up front (e.g. the benchmark
         queries ship exact statistics) but the session should stay
         configured without a global :attr:`OptimizeOptions.statistics`.
+        Like resolved entries, the primed entry lives only as long as
+        *query*; a catalog built for this very query object is served
+        as an equal catalog bound to a detached twin of it.
         """
-        self._statistics[id(query)] = (query, catalog)
+        self._remember_statistics(query, catalog)
+
+    def _remember_statistics(
+        self, query: BGPQuery, catalog: StatisticsCatalog
+    ) -> StatisticsCatalog:
+        """Cache *catalog* for as long as *query* itself is alive.
+
+        A catalog refers to its query, so one built for this very
+        object is re-bound to a detached twin (same patterns,
+        projection and name); otherwise the cache would keep the query
+        alive.  Returns the catalog the cache serves.
+        """
+        if catalog.query is query:
+            twin = BGPQuery(query.patterns, query.projection, query.name)
+            catalog = StatisticsCatalog(twin, catalog.per_pattern)
+        key = id(query)
+        entries = self._statistics
+
+        def forget(ref: "weakref.ref[BGPQuery]") -> None:
+            # a newer entry under a recycled id belongs to another query
+            entry = entries.get(key)
+            if entry is not None and entry[0] is ref:
+                del entries[key]
+
+        entries[key] = (weakref.ref(query, forget), catalog)
+        return catalog
 
     # ------------------------------------------------------------------
     # the optimization pipeline (one call)

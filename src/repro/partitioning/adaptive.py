@@ -38,14 +38,24 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Set
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..engine.cluster import Cluster
 from ..rdf.dataset import Dataset
 from ..rdf.terms import Variable
 from ..rdf.triples import RDFGraph, Triple
 from ..sparql.ast import BGPQuery
-from .base import PartitioningMethod
+from .base import PartitioningMethod, hash_term
 from .dynamic import DynamicPartitioning, hot_query_matches
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (core depends on us)
@@ -431,6 +441,13 @@ class AdaptiveCluster(Cluster):
     worker's served graph (base partition plus adaptive placements)
     already migrates to the re-route target through
     :meth:`~repro.engine.cluster.Cluster.merge_replica`.
+
+    Proposals are planned against the *healthy* layout: a placement
+    belongs to its home slot under the base hash and is diffed against
+    that slot's durable graph, never against a degraded served graph.
+    While the home slot is dead, the placement is also merged into the
+    live worker holding the slot's graph, so degraded mode and the
+    layout restored by :meth:`heal` both hold every placed match.
     """
 
     def __init__(
@@ -457,6 +474,8 @@ class AdaptiveCluster(Cluster):
         #: durable adaptive placements per worker slot; :meth:`heal`
         #: restores them after the base layout reset
         self._adaptive_layout: Dict[int, RDFGraph] = {}
+        #: dead slot -> the worker its graph was re-routed to on failure
+        self._rerouted: Dict[int, int] = {}
 
     @classmethod
     def build(  # type: ignore[override]
@@ -545,8 +564,15 @@ class AdaptiveCluster(Cluster):
             version=self.layout_version,
         )
 
+    def fail_worker(self, worker: int) -> Tuple[int, int]:
+        """Base fail-stop, remembering where the slot's graph went."""
+        target, moved = super().fail_worker(worker)
+        self._rerouted[worker] = target
+        return target, moved
+
     def heal(self) -> None:
         """Base heal, then restore the durable adaptive placements."""
+        self._rerouted.clear()
         super().heal()
         restored = sorted(self._adaptive_layout)
         for worker in restored:  # lint: disable=LINT014 bounded by cluster size
@@ -564,15 +590,30 @@ class AdaptiveCluster(Cluster):
             budget.check_deadline(phase="adapt", operator="adaptive.apply")
             budget.check_cancelled(phase="adapt", operator="adaptive.apply")
 
+    def _holder(self, slot: int) -> int:
+        """The live worker serving *slot*'s graph (*slot* itself if live)."""
+        while not self.is_live(slot):  # lint: disable=LINT014 bounded by cluster size
+            slot = self._rerouted[slot]
+        return slot
+
+    def _durably_holds(self, slot: int, t: Triple) -> bool:
+        """Whether *slot*'s healthy layout (base ∪ adaptive) stores *t*."""
+        if t in self.partitioning.node_graphs[slot]:
+            return True
+        placed = self._adaptive_layout.get(slot)
+        return placed is not None and t in placed
+
     def _plan_proposal(
         self,
         proposal: MigrationProposal,
         budget: Optional["QueryBudget"],
     ) -> Dict[int, RDFGraph]:
-        """Per-worker triples the proposal would add (nothing mutated).
+        """Per-slot triples the proposal would add (nothing mutated).
 
         Costing happens against this plan *before* any merge, so a
         proposal either fits the budget entirely or is skipped whole.
+        Slots are the healthy layout's: a match goes to its anchor's
+        home under the base hash, not to the fail-stop folded route.
         """
         additions: Dict[int, RDFGraph] = {}
         if proposal.kind == COLOCATE:
@@ -581,10 +622,11 @@ class AdaptiveCluster(Cluster):
             matches = hot_query_matches(self.dataset, proposal.query)
             for anchor, triples in matches:
                 self._poll(budget)
-                node = self.route(anchor)
-                bucket = additions.setdefault(node, RDFGraph())
-                served = self.worker_graph(node)
-                bucket.add_all(t for t in triples if t not in served)
+                home = hash_term(anchor, self.size)
+                bucket = additions.setdefault(home, RDFGraph())
+                bucket.add_all(
+                    t for t in triples if not self._durably_holds(home, t)
+                )
         elif proposal.kind == REPLICATE_PREDICATE:
             if proposal.predicate is None:
                 raise ValueError(
@@ -597,9 +639,10 @@ class AdaptiveCluster(Cluster):
             ]
             for worker in range(self.size):
                 self._poll(budget)
-                served = self.worker_graph(worker)
                 bucket = additions.setdefault(worker, RDFGraph())
-                bucket.add_all(t for t in extent if t not in served)
+                bucket.add_all(
+                    t for t in extent if not self._durably_holds(worker, t)
+                )
         else:
             raise ValueError(f"unknown proposal kind {proposal.kind!r}")
         return additions
@@ -612,10 +655,9 @@ class AdaptiveCluster(Cluster):
         """Merge a planned proposal into the live layout; count merges.
 
         Each placement is recorded in the durable adaptive layout (so
-        :meth:`heal` restores it) and merged into the worker's served
-        graph through the shared replica primitive.  Dead workers only
-        get the durable record — they pick the triples up on heal,
-        while their traffic is already folded onto live workers.
+        :meth:`heal` restores it) and merged through the shared replica
+        primitive into the worker serving the slot: the slot itself, or
+        while it is dead the live worker its graph was re-routed to.
         """
         merges = 0
         workers = sorted(additions)
@@ -626,9 +668,8 @@ class AdaptiveCluster(Cluster):
                 continue
             layout = self._adaptive_layout.setdefault(worker, RDFGraph())
             layout.add_all(triples)
-            if self.is_live(worker):
-                self.merge_replica(worker, triples)
-                merges += 1
+            self.merge_replica(self._holder(worker), triples)
+            merges += 1
         return merges
 
     def __repr__(self) -> str:

@@ -2,20 +2,31 @@
 
 A :class:`Dataset` bundles an :class:`~repro.rdf.triples.RDFGraph` with
 the summary statistics the optimizer's cardinality estimator consumes:
-per-predicate triple counts and distinct subject/object counts.  The
+per-predicate triple counts and distinct subject/object counts, plus a
+memo of exact per-pattern counts (``|tp|`` and ``B(tp, v)``).  The
 statistics mirror what RDF-3X exposes to its optimizer in the paper's
-prototype.
+prototype, where the per-pattern counts come from aggregate indexes.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .encoding import EncodedGraph, TermDictionary
-from .terms import Term
+from .terms import PatternTerm, Term, Variable
 from .triples import RDFGraph, Triple
+
+if TYPE_CHECKING:  # pragma: no cover - the sparql layer sits above rdf
+    from ..sparql.ast import TriplePattern
+
+#: a pattern's canonical form: constants as they are, each variable
+#: replaced by the position of its first occurrence in the pattern
+PatternKey = Tuple[Union[Term, int], ...]
+
+#: ``(|tp|, B(tp, v) per distinct variable in first-occurrence order)``
+PatternCounts = Tuple[float, Tuple[float, ...]]
 
 
 @dataclass
@@ -30,8 +41,10 @@ class PredicateStatistics:
 class Dataset:
     """An RDF graph plus the statistics the optimizer needs.
 
-    Statistics are computed once on construction (or :meth:`refresh`) and
-    then served in O(1).
+    Predicate statistics are computed once on construction (or
+    :meth:`refresh`) and then served in O(1).  Per-pattern statistics
+    are computed on first request and memoized by pattern shape
+    (:meth:`pattern_statistics`).
     """
 
     def __init__(self, graph: Optional[RDFGraph] = None, name: str = "dataset") -> None:
@@ -43,6 +56,9 @@ class Dataset:
         #: join-compatible across the whole cluster
         self.dictionary = TermDictionary()
         self._encoded: Optional[EncodedGraph] = None
+        self._pattern_counts: Dict[PatternKey, PatternCounts] = {}
+        #: patterns that missed the per-pattern memo and scanned the graph
+        self.pattern_scans = 0
         self.refresh()
 
     @classmethod
@@ -69,6 +85,7 @@ class Dataset:
             encode(t.predicate)
             encode(t.object)
         self._encoded = None
+        self._pattern_counts = {}
         self._predicate_stats = {
             p: PredicateStatistics(
                 triple_count=counts[p],
@@ -104,6 +121,54 @@ class Dataset:
     def predicate_cardinality(self, predicate: Term) -> int:
         """Triple count for *predicate* (zero if unseen)."""
         return self.predicate_statistics(predicate).triple_count
+
+    def pattern_statistics(self, pattern: "TriplePattern") -> PatternCounts:
+        """Exact ``(|tp|, B(tp, v)...)`` for *pattern*, memoized by shape.
+
+        The memo key is the pattern's canonical form, so alpha-renamed
+        patterns (``?a p ?b`` and ``?s p ?o``) share one entry while
+        ``?x p ?x`` and ``?x p ?y`` stay distinct.  Binding counts are
+        listed per distinct variable in first-occurrence order.  A miss
+        scans the matching triples once; :meth:`refresh` empties the
+        memo.
+        """
+        terms = pattern.terms()
+        first: Dict[Variable, int] = {}
+        key: PatternKey = tuple(
+            first.setdefault(term, position) if isinstance(term, Variable) else term
+            for position, term in enumerate(terms)
+        )
+        counts = self._pattern_counts.get(key)
+        if counts is None:
+            counts = self._scan_pattern(key, terms)
+            self._pattern_counts[key] = counts
+            self.pattern_scans += 1
+        return counts
+
+    def _scan_pattern(
+        self, key: PatternKey, terms: Tuple[PatternTerm, PatternTerm, PatternTerm]
+    ) -> PatternCounts:
+        """Cardinality and distinct-binding counts in one pass.
+
+        Each matching triple is touched once; a variable repeated in
+        the pattern collects the union of its positions' values.
+        """
+        slots: List[Tuple[int, int]] = [
+            (first, position)
+            for position, first in enumerate(key)
+            if isinstance(terms[position], Variable)
+        ]
+        values: Dict[int, Set[Term]] = {first: set() for first, _ in slots}
+        count = 0
+        for t in self.graph.match(*terms):
+            count += 1
+            matched = t.terms()
+            for first, position in slots:
+                values[first].add(matched[position])
+        return (
+            float(max(count, 1)),
+            tuple(float(max(len(vals), 1)) for vals in values.values()),
+        )
 
     def __repr__(self) -> str:
         return f"Dataset({self.name!r}, {self.triple_count} triples)"

@@ -36,6 +36,7 @@ from repro.partitioning.adaptive import (
     structural_signature,
 )
 from repro.rdf import Dataset, triple
+from repro.sparql.ast import BGPQuery
 
 
 @pytest.fixture
@@ -354,6 +355,40 @@ class TestAdaptiveCluster:
         relation, metrics = Executor(cluster).execute(result.plan, chain_query)
         assert relation.rows == reference.rows
         assert metrics.total_tuples_shipped == 0  # placements restored
+        for worker, placed in cluster._adaptive_layout.items():
+            assert set(placed) <= set(cluster.worker_graph(worker))
+
+    @pytest.mark.parametrize("dead", range(4))
+    def test_colocate_while_degraded_survives_heal(
+        self, chain_data, chain_query, dead
+    ):
+        """A COLOCATE applied while a worker is dead is placed on the
+        healthy layout: after heal the overlay's local plans still see
+        every match of the hot query and of its sub-queries."""
+        cluster = AdaptiveCluster.build(chain_data, HashSubjectObject(), 4)
+        cluster.fail_worker(dead)
+        report = cluster.apply([_colocate(chain_query)], replication_budget=1.0)
+        assert report.changed
+        adapted = cluster.adapted_method()
+        patterns = chain_query.patterns
+        queries = [
+            chain_query,
+            BGPQuery(patterns[:2], name="head"),
+            BGPQuery(patterns[1:], name="tail"),
+        ]
+        for phase in ("degraded", "healed"):
+            if phase == "healed":
+                cluster.heal()
+            for query in queries:
+                reference = evaluate_reference(query, chain_data.graph)
+                plan = self._optimized(query, chain_data, adapted).plan
+                for engine in ("columnar", "pipelined"):
+                    relation, _ = Executor(cluster, engine=engine).execute(
+                        plan, query
+                    )
+                    assert relation.rows == reference.rows, (
+                        phase, query.name, engine
+                    )
         for worker, placed in cluster._adaptive_layout.items():
             assert set(placed) <= set(cluster.worker_graph(worker))
 

@@ -8,6 +8,8 @@ facade rebuilt on every call.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro import OptimizeOptions, Optimizer, parse_query
@@ -94,6 +96,26 @@ class TestSessionState:
         assert first is second
         session.optimize(fig1_query)
         assert session.resolve_statistics(fig1_query) is first
+
+    def test_statistics_cache_is_bounded_by_live_queries(self, fig1_query):
+        """Entries are dropped with their query: re-parsed requests do
+        not accumulate for the session's lifetime."""
+        session = Optimizer(OptimizeOptions(seed=42))
+        text = str(fig1_query)
+        kept = []
+        for i in range(1000):
+            query = parse_query(text)
+            session.resolve_statistics(query)
+            if i % 100 == 0:
+                kept.append(query)
+        primed = parse_query(text)
+        session.prime_statistics(primed, session.resolve_statistics(kept[0]))
+        del query, primed
+        gc.collect()
+        assert len(session._statistics) <= len(kept)
+        for query in kept:
+            catalog = session.resolve_statistics(query)
+            assert session.resolve_statistics(query) is catalog
 
     def test_prime_statistics_short_circuits_resolution(self, fig1_query):
         session = Optimizer(OptimizeOptions(seed=42))

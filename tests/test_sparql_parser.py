@@ -1,10 +1,15 @@
 """Unit tests for the SPARQL subset parser."""
 
+import random
+
 import pytest
 
+from repro.core.join_graph import QueryShape
 from repro.rdf.terms import IRI, Literal, Variable
 from repro.sparql import SPARQLSyntaxError, parse_query
+from repro.sparql.ast import BGPQuery
 from repro.workloads.lubm import lubm_queries
+from repro.workloads.generators import generate_query
 from repro.workloads.uniprot import uniprot_queries
 
 
@@ -121,3 +126,38 @@ class TestPaperQueries:
     def test_projection_variables_appear_in_patterns(self):
         for q in {**lubm_queries(), **uniprot_queries()}.values():
             assert set(q.projection) <= q.variables()
+
+
+def _assert_round_trips(query):
+    reparsed = parse_query(str(query))
+    assert reparsed.patterns == query.patterns
+    assert reparsed.projection == query.projection
+
+
+class TestRoundTrip:
+    """``str(BGPQuery)`` is SPARQL the parser reads back unchanged."""
+
+    @pytest.mark.parametrize("name", [f"L{i}" for i in range(1, 11)])
+    def test_lubm_queries(self, name):
+        _assert_round_trips(lubm_queries()[name])
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            QueryShape.CHAIN,
+            QueryShape.CYCLE,
+            QueryShape.STAR,
+            QueryShape.TREE,
+            QueryShape.DENSE,
+        ],
+    )
+    def test_random_generator_queries(self, shape):
+        for size in (4, 7, 13):
+            query = generate_query(shape, size, random.Random(size))
+            _assert_round_trips(query)
+            # the generator projects nothing; round-trip a projection too
+            projected = BGPQuery(
+                query.patterns,
+                projection=sorted(query.variables(), key=lambda v: v.name)[:3],
+            )
+            _assert_round_trips(projected)
